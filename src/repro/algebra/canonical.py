@@ -277,7 +277,7 @@ def _encode(value: object) -> str:
         return "{" + ",".join(sorted(_encode(item) for item in value)) + "}"
     if isinstance(value, Relation):
         names = tuple(sorted(value.schema.names))
-        rows = sorted(repr(row.values_for(names)) for row in value)
+        rows = sorted(map(repr, value.to_tuples(names)))
         return "rel(" + _encode(names) + ";" + ",".join(rows) + ")"
     if isinstance(value, AggregateSpec):
         return "agg(" + value.to_text() + ")"

@@ -192,9 +192,7 @@ class Catalog(Mapping[str, Relation]):
         for fk in self._foreign_keys:
             source = self._tables[fk.table]
             target = self._tables[fk.ref_table]
-            source_values = {row.values_for(fk.attributes) for row in source}
-            target_values = {row.values_for(fk.ref_attributes) for row in target}
-            if not source_values <= target_values:
+            if not source.to_tuples(fk.attributes) <= target.to_tuples(fk.ref_attributes):
                 raise SchemaError(
                     f"foreign key {fk.table}.{fk.attributes!r} -> "
                     f"{fk.ref_table}.{fk.ref_attributes!r} is violated"

@@ -2,7 +2,7 @@
 
 ``Database`` wraps a :class:`~repro.algebra.catalog.Catalog` with the full
 pipeline of the paper — SQL translation, canonicalization, law-based
-rewriting, costing, physical planning and batched execution — behind two
+rewriting, costing, physical planning and chunked execution — behind two
 entry points that produce the same lazy :class:`~repro.api.query.Query`
 objects:
 
@@ -108,11 +108,6 @@ def _coerce_rows(target: Relation, rows: RowsLike) -> Relation:
                 "or a value tuple aligned with the schema"
             )
     return Relation.from_aligned(schema, tuples)
-
-
-def _empty_like(relation: Relation) -> Relation:
-    """An empty relation sharing the table's interned schema."""
-    return Relation.from_aligned(relation.schema, ())
 
 
 @dataclass(frozen=True)
@@ -478,7 +473,7 @@ class Database:
         current = self.relation(table)
         addition = _coerce_rows(current, rows)
         inserted = addition.difference(current)
-        empty = _empty_like(current)
+        empty = Relation.empty(current.schema)
         if len(inserted):
             self.catalog.replace_table(table, current.union(inserted))
         version = self._note_mutation(table, inserted, empty)
@@ -500,7 +495,7 @@ class Database:
         else:
             requested = _coerce_rows(current, rows_or_predicate)
             deleted = current.intersection(requested)
-        empty = _empty_like(current)
+        empty = Relation.empty(current.schema)
         if len(deleted):
             self.catalog.replace_table(table, current.difference(deleted))
         version = self._note_mutation(table, empty, deleted)

@@ -13,6 +13,7 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.errors import RelationError
+from repro.relation.relation import align_row
 from repro.relation.row import Row
 from repro.relation.schema import AttributeNames, Schema, as_schema
 
@@ -43,22 +44,7 @@ class FuzzyRelation:
             self._memberships[row] = max(degree, self._memberships.get(row, 0.0))
 
     def _coerce(self, raw_row: Any) -> Row:
-        if isinstance(raw_row, Row):
-            row = raw_row
-        elif isinstance(raw_row, Mapping):
-            row = Row(dict(raw_row))
-        else:
-            values = tuple(raw_row)
-            if len(values) != len(self._schema):
-                raise RelationError(
-                    f"row {values!r} does not match schema {self._schema.names!r}"
-                )
-            return Row.from_schema(self._schema, values)
-        if set(row.keys()) != set(self._schema.name_set):
-            raise RelationError(
-                f"row attributes {sorted(row.keys())!r} do not match schema {self._schema.names!r}"
-            )
-        return row
+        return Row.from_schema(self._schema, align_row(self._schema, raw_row))
 
     # ------------------------------------------------------------------
     # basic accessors

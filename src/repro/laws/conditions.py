@@ -9,9 +9,15 @@ violated).
 
 from __future__ import annotations
 
+from math import prod
+from typing import TYPE_CHECKING, Any, Optional
+
 from repro.division.schemas import small_divide_schemas
 from repro.relation.relation import Relation
 from repro.relation.schema import AttributeNames, as_schema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.optimizer.statistics import TableStatistics
 
 __all__ = [
     "condition_c1",
@@ -33,21 +39,20 @@ def condition_c1(part1: Relation, part2: Relation, divisor: Relation) -> bool:
     without the union.
     """
     schemas = small_divide_schemas(part1, divisor)
-    divisor_values = {row.values_for(schemas.b) for row in divisor}
+    divisor_values = divisor.to_tuples(schemas.b)
 
-    def group(relation: Relation, key: tuple) -> set[tuple]:
-        return {
-            row.values_for(schemas.b)
-            for row in relation
-            if row.values_for(schemas.a) == key
-        }
+    def groups(relation: Relation) -> dict[Any, set[tuple[Any, ...]]]:
+        a_of = relation.schema.key_getter(schemas.a)
+        b_of = relation.schema.tuple_getter(schemas.b)
+        grouped: dict[Any, set[tuple[Any, ...]]] = {}
+        for values in relation.tuples:
+            grouped.setdefault(a_of(values), set()).add(b_of(values))
+        return grouped
 
-    shared_candidates = {row.values_for(schemas.a) for row in part1} & {
-        row.values_for(schemas.a) for row in part2
-    }
-    for key in shared_candidates:
-        group1 = group(part1, key)
-        group2 = group(part2, key)
+    groups1, groups2 = groups(part1), groups(part2)
+    for key in groups1.keys() & groups2.keys():
+        group1 = groups1[key]
+        group2 = groups2[key]
         in_first = divisor_values <= group1
         in_second = divisor_values <= group2
         in_union = divisor_values <= (group1 | group2)
@@ -62,31 +67,24 @@ def condition_c2(part1: Relation, part2: Relation, quotient_attributes: Attribut
     ``π_A(r1') ∩ π_A(r1'') = ∅`` — stricter than ``c1`` but cheap to check
     (and trivially guaranteed by range partitioning on ``A``).
     """
-    schema = as_schema(quotient_attributes)
-    return projections_disjoint(part1, part2, schema)
+    return projections_disjoint(part1, part2, quotient_attributes)
 
 
 def projections_disjoint(left: Relation, right: Relation, attributes: AttributeNames) -> bool:
     """``π_attributes(left) ∩ π_attributes(right) = ∅`` (used by Laws 7 and 13)."""
-    schema = as_schema(attributes)
-    left_values = {row.values_for(schema) for row in left}
-    right_values = {row.values_for(schema) for row in right}
-    return left_values.isdisjoint(right_values)
+    return left.to_tuples(attributes).isdisjoint(right.to_tuples(attributes))
 
 
 def is_superset_of(left: Relation, right: Relation) -> bool:
     """``left ⊇ right`` over identical schemas (precondition of Law 6)."""
     if left.schema != right.schema:
         return False
-    return set(right.rows) <= set(left.rows)
+    return right.to_tuples(left.schema) <= left.tuples
 
 
 def inclusion_holds(source: Relation, target: Relation, attributes: AttributeNames) -> bool:
     """``π_attributes(source) ⊆ π_attributes(target)`` (Law 9 / Law 12 FK check)."""
-    schema = as_schema(attributes)
-    source_values = {row.values_for(schema) for row in source}
-    target_values = {row.values_for(schema) for row in target}
-    return source_values <= target_values
+    return source.to_tuples(attributes) <= target.to_tuples(attributes)
 
 
 def attribute_is_key(relation: Relation, attributes: AttributeNames) -> bool:
@@ -95,7 +93,34 @@ def attribute_is_key(relation: Relation, attributes: AttributeNames) -> bool:
     Laws 11 and 12 require the dividend to be the output of a grouping,
     which makes the grouping attributes a key; when the dividend is a base
     table this data-level check is the fallback for a missing declaration.
+    A stored table is first judged from its exact header statistics, so
+    the check reads no block when those settle it.
     """
     schema = as_schema(attributes)
     relation.schema.require(schema, "key check")
-    return len(relation.project(schema)) == len(relation)
+    stored = getattr(relation, "stored_statistics", None)
+    if stored is not None:
+        verdict = _key_from_statistics(stored(), schema.names)
+        if verdict is not None:
+            return verdict
+    # Bare group keys (not ``to_tuples``' 1-tuples): this check scans the
+    # whole dividend on every in-memory prepare.
+    keys = set(map(relation.schema.key_getter(schema), relation.tuples))
+    return len(keys) == len(relation)
+
+
+def _key_from_statistics(statistics: "TableStatistics", names: tuple[str, ...]) -> Optional[bool]:
+    """Settle the key question from exact statistics, or ``None``.
+
+    One attribute with as many distinct values as there are rows proves a
+    key; fewer value combinations than rows proves there is none.
+    """
+    cardinality = statistics.cardinality
+    distinct = [statistics.distinct_values.get(name) for name in names]
+    if None in distinct:
+        return None
+    if cardinality in distinct:
+        return True
+    if prod(distinct) < cardinality:
+        return False
+    return None

@@ -146,11 +146,13 @@ class Law12GroupedDivisorKey(RewriteRule):
             return False
         divide: SmallDivide = expression  # type: ignore[assignment]
         divisor_schema = divide.right.schema
+        # The key test comes first: on a stored dividend the header
+        # statistics usually settle it without evaluating the divisor.
         dividend_value = context.evaluate(divide.left)
+        if not attribute_is_key(dividend_value, divisor_schema):
+            return False
         divisor_value = context.evaluate(divide.right)
         if divisor_value.is_empty():
-            return False
-        if not attribute_is_key(dividend_value, divisor_schema):
             return False
         return inclusion_holds(divisor_value, dividend_value, divisor_schema)
 

@@ -5,8 +5,8 @@ Physical operators produce streams of :class:`Chunk` objects — an interned
 with it (:data:`DEFAULT_BATCH_SIZE` tuples each).  Flowing bare value tuples
 instead of :class:`~repro.relation.row.Row` objects removes the per-tuple
 ``Row`` allocation and order-insensitive hash from every operator boundary;
-rows are only materialized at the executor/result boundary (and by the
-:meth:`PhysicalOperator.rows` compatibility shim).
+rows are only materialized where user code receives one (row predicates,
+aggregate functions, :meth:`PhysicalOperator.rows`).
 
 Every operator counts the tuples it emits, so the benchmark harness can
 report *intermediate result sizes* — the metric behind the paper's argument
@@ -16,9 +16,7 @@ large intermediate results, a special-purpose operator does not.  Chunk
 boundaries coincide with the historical row-batch boundaries, so the
 per-operator counts are bit-identical to the row-at-a-time model.
 
-Subclasses implement :meth:`PhysicalOperator._produce_chunks`; legacy
-subclasses written against the older interfaces (``_produce_batches`` row
-lists, or row-at-a-time ``_produce``) keep working through adapter defaults.
+Subclasses implement :meth:`PhysicalOperator._produce_chunks`.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ __all__ = [
     "PhysicalProperties",
     "PlanStatistics",
     "TupleProjector",
-    "aligned_values",
-    "batched",
     "chunked",
     "collect_statistics",
 ]
@@ -121,16 +117,10 @@ class Chunk:
     def __repr__(self) -> str:
         return f"<Chunk schema={self.schema.names!r} tuples={len(self.tuples)}>"
 
-    @classmethod
-    def from_rows(cls, schema: Schema, rows: Iterable[Row]) -> "Chunk":
-        """Build a chunk over ``schema`` from rows (realigned as needed)."""
-        return cls(schema, [aligned_values(row, schema) for row in rows])
-
     def rows(self) -> list[Row]:
         """Materialize the chunk as :class:`Row` objects (boundary only)."""
         schema = self.schema
-        from_schema = Row.from_schema
-        return [from_schema(schema, values) for values in self.tuples]
+        return [Row.from_schema(schema, values) for values in self.tuples]
 
     def aligned(self, schema: Schema) -> "Chunk":
         """This chunk's tuples realigned with ``schema``'s attribute order.
@@ -205,17 +195,16 @@ class PlanStatistics:
 
 class TupleProjector:
     """Extract value tuples (or hashable group keys) for a fixed attribute
-    list out of chunks or rows.
+    list out of chunks.
 
     Caches C-level :func:`operator.itemgetter` extractors per source schema;
     because schemas are interned and all chunks of one input stream normally
     share a schema object, the per-chunk cost is an identity check plus one
     ``map(itemgetter, tuples)`` sweep — no dict lookups per attribute.
 
-    :meth:`keys` / :meth:`keys_of` return *bare* values (not 1-tuples) when
-    the target is a single attribute; such keys are only for
-    hashing/grouping — convert back with :meth:`key_tuple` before building
-    output tuples.
+    :meth:`keys_of` returns *bare* values (not 1-tuples) when the target is
+    a single attribute; such keys are only for hashing/grouping — convert
+    back with :meth:`key_tuple` before building output tuples.
     """
 
     __slots__ = ("_names", "_single", "_schema", "_tuple_get", "_key_get")
@@ -231,15 +220,6 @@ class TupleProjector:
         self._tuple_get, self._key_get = schema.getters(self._names)
         self._schema = schema
 
-    def __call__(self, row: Row) -> tuple[Any, ...]:
-        """The target attributes of one row, as a value tuple."""
-        if row._schema is not self._schema:
-            self._rebind(row._schema)
-        return self._tuple_get(row._values)
-
-    # ------------------------------------------------------------------
-    # chunk-level extraction (the hot path)
-    # ------------------------------------------------------------------
     def tuples_of(self, chunk: Chunk) -> list[tuple[Any, ...]]:
         """Value tuples of the target attributes for a whole chunk."""
         if chunk.schema is not self._schema:
@@ -255,64 +235,9 @@ class TupleProjector:
             self._rebind(chunk.schema)
         return list(map(self._key_get, chunk.tuples))
 
-    # ------------------------------------------------------------------
-    # row-level extraction (compatibility consumers)
-    # ------------------------------------------------------------------
-    def tuples(self, batch: list[Row]) -> list[tuple[Any, ...]]:
-        """Value tuples for a whole batch of rows."""
-        schema = self._schema
-        get = self._tuple_get
-        out: list[tuple[Any, ...]] = []
-        append = out.append
-        for row in batch:
-            row_schema = row._schema
-            if row_schema is not schema:
-                self._rebind(row_schema)
-                schema = row_schema
-                get = self._tuple_get
-            append(get(row._values))
-        return out
-
-    def keys(self, batch: list[Row]) -> list[Any]:
-        """Hashable group keys for a whole batch of rows."""
-        schema = self._schema
-        get = self._key_get
-        out: list[Any] = []
-        append = out.append
-        for row in batch:
-            row_schema = row._schema
-            if row_schema is not schema:
-                self._rebind(row_schema)
-                schema = row_schema
-                get = self._key_get
-            append(get(row._values))
-        return out
-
     def key_tuple(self, key: Any) -> tuple[Any, ...]:
-        """Convert a :meth:`keys`-style key back to an aligned value tuple."""
+        """Convert a :meth:`keys_of`-style key back to an aligned value tuple."""
         return (key,) if self._single else key
-
-
-def aligned_values(row: Row, schema: Schema) -> tuple[Any, ...]:
-    """Value tuple of ``row`` aligned with ``schema``'s attribute order."""
-    row_schema = row.schema
-    if row_schema is schema or row_schema.names == schema.names:
-        return row.values_tuple
-    return row.values_for(schema)
-
-
-def batched(rows: Iterable[Row], size: int) -> Iterator[list[Row]]:
-    """Slice an iterable of rows into lists of at most ``size`` rows."""
-    batch: list[Row] = []
-    append = batch.append
-    for row in rows:
-        append(row)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
 
 
 def chunked(tuples: Iterable[tuple[Any, ...]], schema: Schema, size: int) -> Iterator[Chunk]:
@@ -334,9 +259,8 @@ class PhysicalOperator:
 
     Subclasses implement :meth:`_produce_chunks` (a generator of
     :class:`Chunk` objects).  The public :meth:`chunks` wraps it with tuple
-    counting; :meth:`batches` and :meth:`rows` are row-materializing
-    compatibility views; :meth:`execute` materializes the stream into a
-    :class:`Relation` without per-operator row objects.
+    counting; :meth:`rows` is a row-materializing view; :meth:`execute`
+    materializes the stream into a :class:`Relation` without building rows.
     """
 
     #: Human-readable operator name used in plans and statistics.
@@ -473,28 +397,9 @@ class PhysicalOperator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    # contract: rows-ok (legacy adapter: _produce_batches/_produce are row-based by definition)
     def _produce_chunks(self) -> Iterator[Chunk]:
-        """Produce the output as aligned-tuple chunks.
-
-        The default implementation adapts a legacy row-batch
-        :meth:`_produce_batches` generator (which itself adapts a legacy
-        row-at-a-time :meth:`_produce`), so external subclasses written
-        against the old interfaces keep working.
-        """
-        schema = self._schema
-        for batch in self._produce_batches():
-            yield Chunk.from_rows(schema, batch)
-
-    def _produce_batches(self) -> Iterator[list[Row]]:
-        """Legacy extension hook: produce the output as row batches."""
-        yield from batched(self._produce(), self.batch_size)
-
-    def _produce(self) -> Iterator[Row]:
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _produce_chunks() "
-            "(or legacy _produce_batches()/_produce())"
-        )
+        """Produce the output as aligned-tuple chunks."""
+        raise NotImplementedError(f"{type(self).__name__} must implement _produce_chunks()")
 
     def chunks(self) -> Iterator[Chunk]:
         """Stream the output chunks, counting tuples as chunks are pulled.
@@ -510,11 +415,6 @@ class PhysicalOperator:
                 self.tuples_out += len(chunk.tuples)
                 yield chunk
 
-    def batches(self) -> Iterator[list[Row]]:
-        """Row-batch view of the output stream (counts whole chunks)."""
-        for chunk in self.chunks():
-            yield chunk.rows()
-
     def rows(self) -> Iterator[Row]:
         """Row-at-a-time view of the output stream.
 
@@ -522,12 +422,11 @@ class PhysicalOperator:
         emptiness probes) charge this operator only for what they consumed —
         the same accounting as the historical row-at-a-time model.
         """
-        from_schema = Row.from_schema
         for chunk in self._produce_chunks():
             schema = chunk.schema
             for values in chunk.tuples:
                 self.tuples_out += 1
-                yield from_schema(schema, values)
+                yield Row.from_schema(schema, values)
 
     def produces_any(self) -> bool:
         """Emptiness probe: does this operator emit at least one row?
@@ -553,8 +452,7 @@ class PhysicalOperator:
         """Materialize the output as a set-semantics relation.
 
         Consumes :meth:`chunks` directly — value tuples flow from the last
-        operator straight into the relation; rows exist only inside the
-        resulting :class:`Relation`.
+        operator straight into the relation; no :class:`Row` is built.
         """
         schema = self._schema
         tuples: list[tuple[Any, ...]] = []

@@ -18,7 +18,6 @@ from repro.physical.base import (
     PhysicalOperator,
     PhysicalProperties,
     TupleProjector,
-    batched,
     chunked,
 )
 from repro.relation.row import Row
@@ -57,10 +56,9 @@ class Filter(PhysicalOperator):
     def _produce_chunks(self) -> Iterator[Chunk]:
         predicate = self.predicate
         schema = self._schema
-        from_schema = Row.from_schema
         for chunk in self._children[0].chunks():
             tuples = chunk.aligned(schema).tuples
-            matched = [values for values in tuples if predicate(from_schema(schema, values))]
+            matched = [values for values in tuples if predicate(Row.from_schema(schema, values))]
             if matched:
                 yield Chunk(schema, matched)
 
@@ -230,13 +228,12 @@ class ProductOp(PhysicalOperator):
             # Overlapping inputs: fall back to value-checked row merging.
             right_rows = [row for chunk in right.chunks() for row in chunk.rows()]
             merged = (
-                left_row.merge(right_row)
+                left_row.merge(right_row).values_for(schema)
                 for chunk in left.chunks()
                 for left_row in chunk.rows()
                 for right_row in right_rows
             )
-            for batch in batched(merged, self.batch_size):
-                yield Chunk.from_rows(schema, batch)
+            yield from chunked(merged, schema, self.batch_size)
             return
         right_tuples = [
             values for chunk in right.chunks() for values in chunk.aligned(right_schema).tuples

@@ -2,9 +2,9 @@
 
 The driver consumes the plan's chunk stream directly
 (:meth:`~repro.physical.base.PhysicalOperator.execute` pulls
-``_produce_chunks()`` through the counting ``chunks()`` wrapper); ``Row``
-objects are materialized only inside the resulting
-:class:`~repro.relation.relation.Relation`.
+``_produce_chunks()`` through the counting ``chunks()`` wrapper) and hands
+the final value tuples to the resulting
+:class:`~repro.relation.relation.Relation` without building a ``Row``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from repro.physical.base import (
     PhysicalOperator,
     PhysicalProperties,
     TupleProjector,
-    batched,
     chunked,
 )
 from repro.relation.relation import NULL
@@ -65,16 +64,15 @@ class NestedLoopsJoin(PhysicalOperator):
         schema = self._schema
         right_rows = [row for chunk in right.chunks() for row in chunk.rows()]
 
-        def matches() -> Iterator[Row]:
+        def matches() -> Iterator[tuple[Any, ...]]:
             for chunk in left.chunks():
                 for left_row in chunk.rows():
                     for right_row in right_rows:
                         combined = left_row.merge(right_row)
                         if predicate(combined):
-                            yield combined
+                            yield combined.values_for(schema)
 
-        for batch in batched(matches(), self.batch_size):
-            yield Chunk.from_rows(schema, batch)
+        yield from chunked(matches(), schema, self.batch_size)
 
 
 class _SharedKeyMixin:

@@ -10,16 +10,18 @@ The division operators themselves live in :mod:`repro.division`; they are
 derived operators and are kept separate because the paper studies several
 alternative definitions for them.
 
-Representation invariant: every row of a relation shares the relation's
-*interned* schema object, so its value tuple is aligned with the schema's
-attribute order.  The operators exploit this with precomputed attribute
-index arrays ("pickers"): projection, joins, semi-joins and grouping pick
-values positionally out of the tuples instead of rebuilding per-row dicts.
+Representation: a relation holds one frozenset of plain value tuples aligned
+with its *interned* schema, plus an optional cached scan-order list.  The
+operators pick values positionally out of those tuples with cached schema
+getters; :class:`~repro.relation.row.Row` objects are built only where user
+code receives a row — iteration, :attr:`Relation.rows`, and the row
+predicates and aggregate functions of ``select``/``group_by``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 from typing import Any, Optional, Union
 
 from repro.errors import RelationError, SchemaError
@@ -74,101 +76,52 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_rows", "_tuples")
+    __slots__ = ("_schema", "_tuples", "_order", "_hash")
 
     def __init__(
         self,
         attributes: AttributeNames,
         rows: Iterable[Union[Mapping[str, Any], Sequence[Any]]] = (),
     ) -> None:
-        schema = Schema.interned(as_schema(attributes).names)
-        coerce = self._coerce_row
+        schema = Schema.interned(as_schema(attributes))
         self._schema = schema
-        self._rows: frozenset[Row] = frozenset(coerce(schema, raw) for raw in rows)
-        self._tuples: Optional[list[tuple[Any, ...]]] = None
-
-    @staticmethod
-    def _coerce_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> Row:
-        if isinstance(raw, Row):
-            raw_schema = raw.schema
-            if raw_schema is schema:
-                return raw
-            if raw_schema.name_set == schema.name_set:
-                # Same attribute set, possibly another declaration order:
-                # realign the value tuple with this relation's schema.
-                return Row.from_schema(schema, raw.values_for(schema))
-            raise RelationError(
-                f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
-            )
-        if isinstance(raw, Mapping):
-            for name in raw:
-                if not isinstance(name, str) or not name:
-                    raise RelationError(
-                        f"row attribute names must be nonempty strings, got {name!r}"
-                    )
-            if len(raw) != len(schema):
-                raise RelationError(
-                    f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
-                )
-            try:
-                values = tuple(raw[name] for name in schema.names)
-            except KeyError:
-                raise RelationError(
-                    f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
-                ) from None
-            return Row.from_schema(schema, values)
-        values = tuple(raw)
-        if len(values) != len(schema):
-            raise RelationError(
-                f"row {values!r} has {len(values)} values but schema {schema.names!r} "
-                f"has {len(schema)} attributes"
-            )
-        return Row.from_schema(schema, values)
-
-    @classmethod
-    def _from_parts(cls, schema: Schema, rows: Iterable[Row]) -> "Relation":
-        """Internal constructor: ``schema`` is interned and every row is
-        already aligned with it — no coercion."""
-        relation = object.__new__(cls)
-        relation._schema = schema
-        relation._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
-        relation._tuples = None
-        return relation
+        self._tuples = _freeze([align_row(schema, raw) for raw in rows])
+        self._order: Optional[list[tuple[Any, ...]]] = None
+        self._hash: Optional[int] = None
 
     @classmethod
     def from_aligned(cls, attributes: AttributeNames, tuples: Iterable[Sequence[Any]]) -> "Relation":
         """Build a relation from value tuples already aligned with the schema.
 
-        The columnar executor's boundary constructor: each element of
-        ``tuples`` must be a tuple of values in schema attribute order, so
-        no per-row mapping coercion or length checking is needed.
+        The constructor every operator uses: each element of ``tuples`` must
+        be a tuple of values in schema attribute order, so no per-row
+        coercion or length checking is needed.  A frozenset is adopted
+        as is, without copying.
         """
-        schema = Schema.interned(as_schema(attributes).names)
-        from_schema = Row.from_schema
         relation = object.__new__(cls)
-        relation._schema = schema
-        relation._rows = frozenset(from_schema(schema, values) for values in tuples)
-        relation._tuples = None
+        relation._schema = Schema.interned(as_schema(attributes))
+        relation._tuples = _freeze(tuples)
+        relation._order = None
+        relation._hash = None
         return relation
 
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
-        """Value tuples of all rows, aligned with the schema (cached).
+        """Value tuples in scan order, aligned with the schema (cached).
 
-        Every row of a relation shares the relation's interned schema, so
-        this is a plain attribute sweep; the result is cached because scans
-        re-chunk the same relation on every execution.
+        The scan order is the one :meth:`clustered` chose, or else the set's
+        own order; it is cached because scans re-chunk the same relation on
+        every execution.
         """
-        tuples = self._tuples
-        if tuples is None:
-            tuples = [row._values for row in self._rows]
-            self._tuples = tuples
-        return tuples
+        order = self._order
+        if order is None:
+            order = self._order = list(self._tuples)
+        return order
 
-    def _align(self, row: Row) -> Row:
-        """Realign a same-attribute-set row with this relation's schema."""
-        if row.schema is self._schema:
-            return row
-        return Row.from_schema(self._schema, row.values_for(self._schema))
+    def _aligned_with(self, schema: Schema) -> frozenset[tuple[Any, ...]]:
+        """This relation's tuples in ``schema``'s attribute order."""
+        if schema is self._schema:
+            return self._tuples
+        return frozenset(map(self._schema.tuple_getter(schema), self._tuples))
 
     # ------------------------------------------------------------------
     # constructors
@@ -177,11 +130,6 @@ class Relation:
     def empty(cls, attributes: AttributeNames) -> "Relation":
         """An empty relation over the given schema."""
         return cls(attributes, ())
-
-    @classmethod
-    def from_rows(cls, attributes: AttributeNames, rows: Iterable[Any]) -> "Relation":
-        """Alias of the constructor, provided for readability at call sites."""
-        return cls(attributes, rows)
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence[Any]]) -> "Relation":
@@ -194,9 +142,7 @@ class Relation:
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise RelationError(f"columns have different lengths: { {n: len(v) for n, v in columns.items()} }")
-        count = lengths.pop() if lengths else 0
-        rows = [tuple(columns[name][i] for name in names) for i in range(count)]
-        return cls(names, rows)
+        return cls.from_aligned(names, zip(*columns.values()))
 
     @classmethod
     def singleton(cls, values: Mapping[str, Any]) -> "Relation":
@@ -217,27 +163,35 @@ class Relation:
         return self._schema.names
 
     @property
+    def tuples(self) -> frozenset[tuple[Any, ...]]:
+        """The content: value tuples aligned with :attr:`schema`."""
+        return self._tuples
+
+    @property
     def rows(self) -> frozenset[Row]:
-        """The set of rows."""
-        return self._rows
+        """The set of rows (built on each access; prefer :attr:`tuples`)."""
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._tuples)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def __bool__(self) -> bool:
-        return bool(self._rows)
+        schema = self._schema
+        return (Row.from_schema(schema, values) for values in self._tuples)
 
     def __contains__(self, row: object) -> bool:
-        if isinstance(row, Mapping) and not isinstance(row, Row):
-            row = Row(dict(row))
-        return row in self._rows
+        if not isinstance(row, Mapping):
+            return False
+        if not isinstance(row, Row):
+            row = Row(row)
+        schema = self._schema
+        if row.schema.name_set != schema.name_set:
+            return False
+        return row.values_for(schema) in self._tuples
 
     def is_empty(self) -> bool:
         """Return ``True`` if the relation has no rows."""
-        return not self._rows
+        return not self
 
     def sorted_rows(self, attributes: Optional[AttributeNames] = None) -> list[Row]:
         """Rows sorted by the given attributes (defaults to the full schema).
@@ -245,13 +199,12 @@ class Relation:
         Used for deterministic rendering and by sort-based physical
         operators.  Values of each attribute must be mutually comparable.
         """
-        schema = self._schema if attributes is None else as_schema(attributes)
-        self._schema.require(schema, "sort")
-        picks = self._schema.picker(schema)
-        return sorted(
-            self._rows,
-            key=lambda row: tuple(_sort_key(row.values_tuple[i]) for i in picks),
+        picks = self._sort_picks(attributes, "sort")
+        ordered = sorted(
+            self._tuples, key=lambda values: tuple(_sort_key(values[i]) for i in picks)
         )
+        schema = self._schema
+        return [Row.from_schema(schema, values) for values in ordered]
 
     def clustered(self, attributes: Optional[AttributeNames] = None) -> "Relation":
         """A copy whose *physical scan order* is sorted by ``attributes``.
@@ -263,68 +216,71 @@ class Relation:
         the cost-based planner pick order-exploiting algorithms (e.g. the
         streaming merge-group division).  Defaults to the full schema.
         """
-        schema = self._schema if attributes is None else as_schema(attributes)
-        self._schema.require(schema, "clustered")
-        picks = self._schema.picker(schema)
-        relation = Relation._from_parts(self._schema, self._rows)
-        relation._tuples = sorted(
+        picks = self._sort_picks(attributes, "clustered")
+        relation = Relation.from_aligned(self._schema, self._tuples)
+        relation._order = sorted(
             self.aligned_tuples(),
             key=lambda values: tuple(_sort_key(values[i]) for i in picks),
         )
         return relation
 
+    def _sort_picks(self, attributes: Optional[AttributeNames], context: str) -> tuple[int, ...]:
+        schema = self._schema if attributes is None else as_schema(attributes)
+        self._schema.require(schema, context)
+        return self._schema.picker(schema)
+
     def to_set(self, attribute: str) -> set[Any]:
         """Values of a single attribute as a Python set."""
         self._schema.require([attribute], "to_set")
-        position = self._schema.position(attribute)
-        return {row.values_tuple[position] for row in self._rows}
+        return set(map(itemgetter(self._schema.position(attribute)), self._tuples))
 
     def to_tuples(self, attributes: Optional[AttributeNames] = None) -> set[tuple[Any, ...]]:
         """Rows as value tuples (ordered by ``attributes`` or the schema)."""
         schema = self._schema if attributes is None else as_schema(attributes)
         self._schema.require(schema, "to_tuples")
-        get = self._schema.tuple_getter(schema)
-        return {get(row.values_tuple) for row in self._rows}
+        return set(map(self._schema.tuple_getter(schema), self._tuples))
 
     # ------------------------------------------------------------------
     # value semantics
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Relation):
-            return self._schema == other._schema and self._rows == other._rows
-        return NotImplemented
+        if not isinstance(other, Relation):
+            return NotImplemented
+        if self._schema != other._schema or len(self._tuples) != len(other._tuples):
+            return False
+        return self._tuples == other._aligned_with(self._schema)
 
     def __hash__(self) -> int:
-        return hash((self._schema, self._rows))
+        value = self._hash
+        if value is None:
+            # Hash in sorted-name order, so equal relations declared in
+            # different attribute orders hash equally.
+            canonical = Schema.interned(sorted(self._schema.names))
+            value = self._hash = hash((canonical.name_set, self._aligned_with(canonical)))
+        return value
 
     def __repr__(self) -> str:
-        return f"Relation(attributes={self._schema.names!r}, rows={len(self._rows)})"
+        return f"Relation(attributes={self._schema.names!r}, rows={len(self._tuples)})"
 
     # ------------------------------------------------------------------
     # unary operators
     # ------------------------------------------------------------------
     def project(self, attributes: AttributeNames) -> "Relation":
         """Projection ``π_A(r)`` with duplicate elimination."""
-        target = Schema.interned(self._schema.project(attributes).names)
-        get = self._schema.tuple_getter(target)
-        projected = {get(row.values_tuple) for row in self._rows}
-        return Relation._from_parts(
-            target, frozenset(Row.from_schema(target, values) for values in projected)
-        )
+        target = Schema.interned(self._schema.project(attributes))
+        return Relation.from_aligned(target, map(self._schema.tuple_getter(target), self._tuples))
 
     def select(self, predicate: RowPredicate) -> "Relation":
         """Selection ``σ_θ(r)``; ``predicate`` is evaluated on every row."""
-        return Relation._from_parts(
-            self._schema, frozenset(row for row in self._rows if predicate(row))
+        # A list, not a generator: errors raised by the predicate must not
+        # pass for unhashable values inside ``from_aligned``.
+        return Relation.from_aligned(
+            self._schema, [row.values_tuple for row in self if predicate(row)]
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename attributes according to ``mapping`` (ρ operator)."""
-        new_schema = Schema.interned(self._schema.rename(dict(mapping)).names)
-        return Relation._from_parts(
-            new_schema,
-            frozenset(Row.from_schema(new_schema, row.values_tuple) for row in self._rows),
-        )
+        return Relation.from_aligned(self._schema.rename(dict(mapping)), self._tuples)
 
     def prefix(self, prefix: str, separator: str = ".") -> "Relation":
         """Rename every attribute to ``prefix`` + separator + name.
@@ -345,27 +301,17 @@ class Relation:
     def union(self, other: "Relation") -> "Relation":
         """Set union ``r1 ∪ r2``."""
         self._require_same_schema(other, "union")
-        if other._schema is self._schema:
-            rows = self._rows | other._rows
-        else:
-            rows = self._rows | frozenset(self._align(row) for row in other._rows)
-        return Relation._from_parts(self._schema, rows)
+        return Relation.from_aligned(self._schema, self._tuples | other._aligned_with(self._schema))
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection ``r1 ∩ r2``."""
         self._require_same_schema(other, "intersection")
-        if other._schema is self._schema:
-            rows = self._rows & other._rows
-        else:
-            # Row hashing is order-insensitive, so membership tests work
-            # across schema orders; keep elements of `self` for alignment.
-            rows = frozenset(row for row in self._rows if row in other._rows)
-        return Relation._from_parts(self._schema, rows)
+        return Relation.from_aligned(self._schema, self._tuples & other._aligned_with(self._schema))
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference ``r1 − r2``."""
         self._require_same_schema(other, "difference")
-        return Relation._from_parts(self._schema, self._rows - other._rows)
+        return Relation.from_aligned(self._schema, self._tuples - other._aligned_with(self._schema))
 
     def __or__(self, other: "Relation") -> "Relation":
         return self.union(other)
@@ -386,13 +332,11 @@ class Relation:
             raise SchemaError(
                 f"product: attribute sets must be disjoint, both sides contain {shared!r}"
             )
-        schema = Schema.interned(self._schema.union(other._schema).names)
-        rows = frozenset(
-            Row.from_schema(schema, left.values_tuple + right.values_tuple)
-            for left in self._rows
-            for right in other._rows
+        right = other._tuples
+        return Relation.from_aligned(
+            self._schema.union(other._schema),
+            (left + values for left in self._tuples for values in right),
         )
-        return Relation._from_parts(schema, rows)
 
     def __mul__(self, other: "Relation") -> "Relation":
         return self.product(other)
@@ -408,36 +352,32 @@ class Relation:
             # Degenerates to the Cartesian product, exactly as in the
             # textbook definition.
             return self.product(other)
-        schema = Schema.interned(self._schema.union(other._schema).names)
         extra = other._schema.difference(self._schema)
         left_key = self._schema.key_getter(shared)
         right_key = other._schema.key_getter(shared)
         right_extra = other._schema.tuple_getter(extra)
         index: dict[Any, list[tuple[Any, ...]]] = {}
-        for row in other._rows:
-            values = row.values_tuple
+        for values in other._tuples:
             index.setdefault(right_key(values), []).append(right_extra(values))
-        rows: set[Row] = set()
-        add = rows.add
         lookup = index.get
-        from_schema = Row.from_schema
-        for left in self._rows:
-            values = left.values_tuple
-            for extras in lookup(left_key(values), ()):
-                add(from_schema(schema, values + extras))
-        return Relation._from_parts(schema, frozenset(rows))
+        return Relation.from_aligned(
+            self._schema.union(other._schema),
+            (
+                values + extras
+                for values in self._tuples
+                for extras in lookup(left_key(values), ())
+            ),
+        )
 
     def semijoin(self, other: "Relation") -> "Relation":
         """Left semi-join ``r1 ⋉ r2``: rows of ``r1`` with a join partner."""
         shared = self._schema.intersection(other._schema)
         if not len(shared):
-            return self if other._rows else Relation.empty(self._schema)
+            return self if other else Relation.empty(self._schema)
         left_key = self._schema.key_getter(shared)
-        right_key = other._schema.key_getter(shared)
-        keys = {right_key(row.values_tuple) for row in other._rows}
-        return Relation._from_parts(
-            self._schema,
-            frozenset(row for row in self._rows if left_key(row.values_tuple) in keys),
+        keys = set(map(other._schema.key_getter(shared), other._tuples))
+        return Relation.from_aligned(
+            self._schema, (values for values in self._tuples if left_key(values) in keys)
         )
 
     def antijoin(self, other: "Relation") -> "Relation":
@@ -447,13 +387,13 @@ class Relation:
     def left_outer_join(self, other: "Relation") -> "Relation":
         """Left outer join ``r1 ⟕ r2`` padding missing partners with NULL."""
         joined = self.natural_join(other)
-        dangling = self.antijoin(other)
-        pad_attributes = other._schema.difference(self._schema)
-        padded_rows = {
-            row.with_values({name: NULL for name in pad_attributes}) for row in dangling
-        }
-        schema = self._schema.union(other._schema)
-        return Relation(schema, set(joined.rows) | padded_rows)
+        # The join schema is this relation's attributes followed by the new
+        # ones of ``other``, so padding a dangling tuple is a concatenation.
+        padding = (NULL,) * (len(joined._schema) - len(self._schema))
+        dangling = self.antijoin(other)._tuples
+        return Relation.from_aligned(
+            joined._schema, joined._tuples | {values + padding for values in dangling}
+        )
 
     # ------------------------------------------------------------------
     # grouping / aggregation
@@ -480,12 +420,12 @@ class Relation:
         ``(doc, fn)`` pairs for the common aggregates.
         """
         group_schema = as_schema(grouping)
-        self._schema.require(group_schema, "group_by")
-        output_schema = Schema.interned(group_schema.names + tuple(aggregations.keys()))
-        key_of = self._schema.tuple_getter(group_schema)
+        schema = self._schema
+        schema.require(group_schema, "group_by")
+        key_of = schema.tuple_getter(group_schema)
 
         groups: dict[tuple[Any, ...], list[Row]] = {}
-        for row in self._rows:
+        for row in self:
             groups.setdefault(key_of(row.values_tuple), []).append(row)
 
         if not groups and not len(group_schema):
@@ -493,11 +433,10 @@ class Relation:
             # over the empty group, mirroring SQL's behaviour for COUNT.
             groups[()] = []
         aggregate_fns = tuple(fn for (_doc, fn) in aggregations.values())
-        result_rows = frozenset(
-            Row.from_schema(output_schema, key + tuple(fn(members) for fn in aggregate_fns))
-            for key, members in groups.items()
+        return Relation.from_aligned(
+            group_schema.names + tuple(aggregations.keys()),
+            [key + tuple(fn(members) for fn in aggregate_fns) for key, members in groups.items()],
         )
-        return Relation._from_parts(output_schema, result_rows)
 
     # ------------------------------------------------------------------
     # convenience used throughout the law implementations
@@ -508,29 +447,56 @@ class Relation:
         ``row_values`` fixes the values of some attributes; the result is the
         projection to ``over`` of the rows agreeing with ``row_values``.
         """
-        fixed = Row(dict(row_values))
-        self._schema.require(list(fixed.keys()), "image_set")
-        over_schema = Schema.interned(self._schema.project(over).names)
+        fixed = Row(row_values)
+        self._schema.require(fixed.schema, "image_set")
+        over_schema = Schema.interned(self._schema.project(over))
         over_get = self._schema.tuple_getter(over_schema)
         fixed_get = self._schema.tuple_getter(fixed.schema)
         fixed_values = fixed.values_tuple
-        projected = {
-            over_get(row.values_tuple)
-            for row in self._rows
-            if fixed_get(row.values_tuple) == fixed_values
-        }
-        return Relation._from_parts(
+        return Relation.from_aligned(
             over_schema,
-            frozenset(Row.from_schema(over_schema, values) for values in projected),
+            (over_get(values) for values in self._tuples if fixed_get(values) == fixed_values),
         )
 
     def partition_horizontal(self, predicate: RowPredicate) -> tuple["Relation", "Relation"]:
         """Split rows into (matching, non-matching) relations."""
-        matching = frozenset(row for row in self._rows if predicate(row))
-        return (
-            Relation._from_parts(self._schema, matching),
-            Relation._from_parts(self._schema, self._rows - matching),
-        )
+        matching = self.select(predicate)
+        return matching, Relation.from_aligned(self._schema, self._tuples - matching._tuples)
+
+
+def align_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]]) -> tuple[Any, ...]:
+    """A row given as a :class:`Row`, a mapping or a value sequence, as a
+    value tuple aligned with ``schema`` (rejects other attribute sets)."""
+    if isinstance(raw, Row):
+        if raw.schema.name_set == schema.name_set:
+            return raw.values_for(schema)
+    elif isinstance(raw, Mapping):
+        for name in raw:
+            if not isinstance(name, str) or not name:
+                raise RelationError(f"row attribute names must be nonempty strings, got {name!r}")
+        if len(raw) == len(schema) and all(name in raw for name in schema.names):
+            return tuple(raw[name] for name in schema.names)
+    else:
+        values = tuple(raw)
+        if len(values) != len(schema):
+            raise RelationError(
+                f"row {values!r} has {len(values)} values but schema {schema.names!r} "
+                f"has {len(schema)} attributes"
+            )
+        return values
+    raise RelationError(
+        f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
+    )
+
+
+def _freeze(tuples: Iterable[Sequence[Any]]) -> frozenset[tuple[Any, ...]]:
+    """The tuples as a frozenset, rejecting unhashable attribute values."""
+    if isinstance(tuples, frozenset):
+        return tuples
+    try:
+        return frozenset(tuples)
+    except TypeError as exc:
+        raise RelationError(f"row values must be hashable: {exc}") from exc
 
 
 def _sort_key(value: Any) -> tuple[str, Any]:

@@ -5,16 +5,17 @@ elements of a :class:`~repro.relation.relation.Relation`; because the paper
 (and hence this library) uses *set* semantics throughout, rows must be
 hashable and comparable by value.
 
-Representation: a row stores an interned :class:`~repro.relation.schema.Schema`
-plus a plain value tuple aligned with it — no per-row dict.  Equality and
-hashing remain attribute-order-insensitive (``Row({"a": 1, "b": 2}) ==
-Row({"b": 2, "a": 1})``) because hashing permutes the values into canonical
-(sorted-name) order.  The full :class:`Mapping` API is preserved, so rows
-still behave like read-only dicts everywhere.
+Representation: a row is a thin view — an interned
+:class:`~repro.relation.schema.Schema` plus a plain value tuple aligned with
+it, no per-row dict.  Relations store the value tuples themselves and build
+rows only where user code receives one.  Equality and hashing remain
+attribute-order-insensitive (``Row({"a": 1, "b": 2}) == Row({"b": 2, "a":
+1})``) because hashing permutes the values into canonical (sorted-name)
+order.  The full :class:`Mapping` API is preserved, so rows still behave
+like read-only dicts everywhere.
 
-Hot paths construct rows with :meth:`Row.from_schema`, which takes an
-already-interned schema and an aligned value tuple and touches no dict at
-all.
+:meth:`Row.from_schema` takes an already-interned schema and an aligned
+value tuple and touches no dict; a row's hash is computed on first use.
 """
 
 from __future__ import annotations
@@ -71,15 +72,13 @@ class Row(Mapping):
         """Fast constructor from an interned schema and an aligned value tuple.
 
         The caller guarantees ``len(values) == len(schema)`` and that
-        ``schema`` came from :meth:`Schema.interned`; no dict is built.
+        ``schema`` came from :meth:`Schema.interned`; no dict is built and
+        the hash (which rejects unhashable values) is deferred to first use.
         """
         row = object.__new__(cls)
         row._schema = schema
         row._values = values
-        try:
-            row._hash = schema.hash_values(values)
-        except TypeError as exc:  # unhashable attribute value
-            raise RelationError(f"row values must be hashable: {values!r}") from exc
+        row._hash = None
         return row
 
     # ------------------------------------------------------------------
@@ -123,7 +122,13 @@ class Row(Mapping):
     # value semantics
     # ------------------------------------------------------------------
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            try:
+                value = self._hash = self._schema.hash_values(self._values)
+            except TypeError as exc:  # unhashable attribute value
+                raise RelationError(f"row values must be hashable: {self._values!r}") from exc
+        return value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Row):
@@ -195,7 +200,7 @@ class Row(Mapping):
     def values_for(self, attributes: AttributeNames) -> tuple[Any, ...]:
         """Return the values of ``attributes`` as a tuple (in the given order)."""
         try:
-            getter = self._schema.tuple_getter(attributes)
+            getter = self._schema.getters(attributes)[0]
         except KeyError as exc:
             raise RowAttributeError(
                 f"row has no attribute {exc.args[0]!r}; available: {sorted(self._schema._names)}"

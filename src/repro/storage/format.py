@@ -46,7 +46,7 @@ import os
 import pickle
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence, Union
 
 from repro.algebra.predicates import (
     And,
@@ -348,9 +348,19 @@ class TableReader:
         return self._header.get("statistics")
 
     # -- block access ---------------------------------------------------
+    def _open(self) -> BinaryIO:
+        """The file for block reads; a vanished file is a typed error."""
+        try:
+            return open(self._path, "rb")
+        except FileNotFoundError as error:
+            raise StorageError(
+                f"cannot read stored table {self.table!r}: {self._path} is gone "
+                "(was the store saved over since it was opened?)"
+            ) from error
+
     def read_block(self, meta: dict[str, Any]) -> list[tuple[Any, ...]]:
         """Decode one block given its index entry."""
-        with open(self._path, "rb") as stream:
+        with self._open() as stream:
             stream.seek(self._data_start + meta["offset"])
             payload = stream.read(meta["length"])
         return self._decode(meta, payload)
@@ -393,7 +403,7 @@ class TableReader:
         the payload is touched; returning ``False`` skips the block
         without any disk read beyond the already-loaded header.
         """
-        with open(self._path, "rb") as stream:
+        with self._open() as stream:
             for meta in self.blocks:
                 if should_read is not None and not should_read(meta):
                     continue

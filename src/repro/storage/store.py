@@ -13,7 +13,10 @@ interrupted at any point (see the ``storage.table_write`` and
 ``storage.manifest_write`` fault points) leaves the previous manifest and
 its files untouched, so the store reopens at its pre-save state; files a
 failed or superseded save left behind are swept opportunistically after
-the next successful commit.
+the next successful commit.  The saving session's own stored tables are
+first rebound to the committed files; another session still reading a
+swept generation gets a :class:`~repro.errors.StorageError` naming the
+table.
 
 Reopening yields :class:`StoredRelation` values: schema, cardinality and
 statistics come straight from the file headers (no data read), and the
@@ -30,14 +33,13 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from repro.algebra.catalog import Catalog
 from repro.errors import StorageCorruptionError, StorageError
 from repro.faults import registry as fault_registry
 from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
-from repro.relation.row import Row
 from repro.relation.schema import Schema
 from repro.storage.format import DEFAULT_BLOCK_SIZE, PathLike, TableReader, write_table_file
 
@@ -93,58 +95,47 @@ def statistics_from_payload(payload: dict[str, Any]) -> TableStatistics:
 class StoredRelation(Relation):
     """A relation backed by a stored table file, materialized on demand.
 
-    The subclass shadows the ``_rows``/``_tuples`` slots with properties,
-    so every inherited algebra method works unchanged — the first one that
-    actually touches rows triggers a full block read.  Length, schema and
-    :meth:`stored_statistics` are answered from the header alone, which is
-    what keeps ``repro.connect(path)`` and ``db.analyze()`` metadata-only.
+    The base class's content slot ``_tuples`` stays unset until something
+    touches it; :meth:`__getattr__` then reads every block once, so every
+    inherited algebra method works unchanged.  :meth:`aligned_tuples`
+    reads the blocks into the scan-order list alone, without building the
+    set.  Length, schema and :meth:`stored_statistics` are answered from
+    the header, which is what keeps ``repro.connect(path)`` and
+    ``db.analyze()`` metadata-only.
 
     Derived relations (projections, quotients, …) are always plain
     in-memory :class:`Relation` values: the base class builds results via
-    ``Relation._from_parts`` explicitly.
+    ``Relation.from_aligned`` explicitly.
     """
 
-    __slots__ = ("_reader", "_cached_rows", "_cached_tuples")
+    __slots__ = ("_reader",)
 
     def __init__(self, reader: TableReader) -> None:
         self._schema = Schema.interned(reader.attributes)
         self._reader = reader
-        self._cached_rows: Optional[frozenset[Row]] = None
-        self._cached_tuples: Optional[list[tuple[Any, ...]]] = None
+        self._order = None
+        self._hash = None
 
     # -- lazy materialization ------------------------------------------
-    @property
-    def _rows(self) -> frozenset[Row]:
-        rows = self._cached_rows
-        if rows is None:
-            schema = self._schema
-            from_schema = Row.from_schema
-            rows = frozenset(from_schema(schema, values) for values in self.aligned_tuples())
-            self._cached_rows = rows
-        return rows
-
-    @property
-    def _tuples(self) -> Optional[list[tuple[Any, ...]]]:
-        return self._cached_tuples
-
-    @_tuples.setter
-    def _tuples(self, value: Optional[list[tuple[Any, ...]]]) -> None:
-        self._cached_tuples = value
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for unset slots: the content is read on first use.
+        if name != "_tuples":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tuples = self._tuples = frozenset(self.aligned_tuples())
+        return tuples
 
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
         """All tuples in stored (block) order — reads every block, cached."""
-        tuples = self._cached_tuples
-        if tuples is None:
-            tuples = [values for _meta, block in self._reader.iter_blocks() for values in block]
-            self._cached_tuples = tuples
-        return tuples
+        order = self._order
+        if order is None:
+            order = self._order = [
+                values for _meta, block in self._reader.iter_blocks() for values in block
+            ]
+        return order
 
     # -- metadata-only answers -----------------------------------------
     def __len__(self) -> int:
         return self._reader.tuple_count
-
-    def __bool__(self) -> bool:
-        return self._reader.tuple_count > 0
 
     @property
     def reader(self) -> TableReader:
@@ -154,7 +145,7 @@ class StoredRelation(Relation):
     @property
     def is_loaded(self) -> bool:
         """Whether the tuples have been materialized into memory."""
-        return self._cached_rows is not None or self._cached_tuples is not None
+        return self._order is not None
 
     def stored_statistics(self) -> TableStatistics:
         """Exact statistics from the file header — a metadata read.
@@ -171,8 +162,8 @@ class StoredRelation(Relation):
 
     def sample_tuples(self, limit: int) -> list[tuple[Any, ...]]:
         """Up to ``limit`` leading tuples without materializing the table."""
-        if self._cached_tuples is not None:
-            return self._cached_tuples[:limit]
+        if self._order is not None:
+            return self._order[:limit]
         return self._reader.sample_tuples(limit)
 
     def __repr__(self) -> str:
@@ -328,6 +319,15 @@ def save_database(
         except OSError:
             pass
         raise
+    # The sweep deletes the previous generation's files, which stored tables
+    # read from this directory may still stream from: rebind them to the
+    # files just committed, which hold the same tuples.
+    directory = path.resolve()
+    for name, filename in tables.items():
+        relation = catalog[name]
+        stored = isinstance(relation, StoredRelation)
+        if stored and relation.reader.path.parent.resolve() == directory:
+            relation._reader = TableReader(path / filename)
     _sweep_orphans(path, keep=set(tables.values()))
     return path
 

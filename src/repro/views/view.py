@@ -54,11 +54,12 @@ class _SideExtractor:
         self.b_names = tuple(inverse[name] for name in b_names)
 
     def pairs(self, relation: Relation) -> Iterator[tuple[Values, Values]]:
-        predicate = self.predicate
-        key_names, b_names = self.key_names, self.b_names
-        for row in relation:
-            if predicate is None or predicate(row):
-                yield row.values_for(key_names), row.values_for(b_names)
+        if self.predicate is not None:
+            relation = relation.select(self.predicate)
+        key_of = relation.schema.tuple_getter(self.key_names)
+        b_of = relation.schema.tuple_getter(self.b_names)
+        for values in relation.tuples:
+            yield key_of(values), b_of(values)
 
 
 class MaintainedView:

@@ -4,7 +4,7 @@ Every physical operator streams via ``_produce_chunks()``; the chunk size
 is an execution detail that must never change the produced relation or the
 per-operator tuple counts.  These tests sweep batch sizes 1, 3 and 1024
 over randomized and property-generated division workloads for every small-
-and great-divide algorithm, pin the Chunk↔Row round-trip invariants, and
+and great-divide algorithm, pin the chunk alignment and round-trip invariants, and
 check the dictionary-encoded divisor is consumed exactly once per open.
 """
 
@@ -21,7 +21,7 @@ from repro.physical import (
     RelationScan,
     execute_plan,
 )
-from repro.relation import Relation, Row
+from repro.relation import Relation
 from repro.relation.schema import Schema
 
 from tests import strategies  # noqa: E402  (repo-root import, like tests.division)
@@ -114,21 +114,7 @@ class TestBatchSizeInvariance:
 
 
 class TestChunkRowRoundTrip:
-    """Chunk ↔ Row conversion invariants."""
-
-    def test_rows_round_trip(self):
-        schema = Schema.interned(("a", "b"))
-        rows = [Row({"a": i, "b": -i}) for i in range(5)]
-        chunk = Chunk.from_rows(schema, rows)
-        assert chunk.rows() == rows
-        assert len(chunk) == 5
-
-    def test_from_rows_realigns_permuted_schemas(self):
-        schema = Schema.interned(("a", "b"))
-        permuted = [Row({"b": 2, "a": 1}), Row({"a": 3, "b": 4})]
-        chunk = Chunk.from_rows(schema, permuted)
-        assert chunk.tuples == [(1, 2), (3, 4)]
-        assert chunk.rows() == permuted  # Row equality is order-insensitive
+    """Chunk alignment and Relation ↔ chunk conversion invariants."""
 
     def test_aligned_is_zero_copy_for_same_order(self):
         schema = Schema.interned(("a", "b"))

@@ -114,9 +114,14 @@ class TestTupleBackedInternals:
         assert row.schema is schema
 
     def test_from_schema_rejects_unhashable_values(self):
+        # The row hash is lazy: the rejection happens when the row is first
+        # hashed, and relations reject such tuples at construction.
         schema = Schema.interned(("a",))
+        row = Row.from_schema(schema, ([1, 2],))
         with pytest.raises(RelationError, match="hashable"):
-            Row.from_schema(schema, ([1, 2],))
+            hash(row)
+        with pytest.raises(RelationError, match="hashable"):
+            Relation.from_aligned(schema, [([1, 2],)])
 
     def test_relation_rows_share_the_relation_schema(self):
         relation = Relation(["a", "b"], [(1, 2), (3, 4), {"b": 6, "a": 5}])
@@ -166,3 +171,24 @@ def test_attribute_order_invariance_of_relations(rows):
     backward = Relation(("y", "x"), [(y, x) for x, y in rows])
     assert forward == backward
     assert forward.rows == backward.rows
+
+
+@given(
+    rows=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), max_size=15),
+    order=st.permutations((0, 1, 2)),
+)
+def test_permuted_relations_compare_and_hash_equal(rows, order):
+    """Same content over a permuted attribute order: equal, equal hashes,
+    and rows of either relation are members of the other."""
+    names = ("x", "y", "z")
+    forward = Relation(names, rows)
+    permuted = Relation(
+        tuple(names[i] for i in order), [tuple(row[i] for i in order) for row in rows]
+    )
+    assert forward == permuted
+    assert hash(forward) == hash(permuted)
+    for row in rows:
+        mapping = dict(zip(names, row))
+        assert Row(mapping) in permuted
+        assert Row({name: mapping[name] for name in reversed(names)}) in forward
+    assert all(row in forward for row in permuted)
