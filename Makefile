@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test chaos lint lint-engine typecheck verify-plans bench-smoke bench bench-record bench-compare bench-parallel bench-compiled bench-storage bench-ivm bench-faults
+.PHONY: check test chaos lint lint-engine typecheck verify-plans e2e-check bench-smoke bench bench-record bench-compare bench-parallel bench-compiled bench-storage bench-ivm bench-faults
 
 ## Tier-1 gate: typecheck plus the full unit + benchmark-assertion suite.
 check: typecheck
@@ -35,6 +35,12 @@ typecheck:
 ## worker configurations (no execution; exit 1 on any error finding).
 verify-plans:
 	$(PYTHON) -m repro check --all-workloads
+
+## End-to-end correctness smoke: a 3-second run of each perfbench
+## workload (seed 1, untraced); fails unless every run reports
+## "correct": true and no failed operation (run.py itself exits 0).
+e2e-check:
+	$(PYTHON) scripts/e2e_check.py
 
 ## Unit tests only (skips the benchmarks directory).
 test:

@@ -48,7 +48,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.physical_cost import PlanDecision
 from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rewriter import RewriteReport
-from repro.optimizer.statistics import TableStatistics
+from repro.optimizer.statistics import TableStatistics, hand_over_counts
 from repro.physical.base import PhysicalOperator
 from repro.physical.compile import CompilationReport
 from repro.physical.executor import execute_plan
@@ -475,7 +475,10 @@ class Database:
         inserted = addition.difference(current)
         empty = Relation.empty(current.schema)
         if len(inserted):
-            self.catalog.replace_table(table, current.union(inserted))
+            successor = current.union(inserted)
+            # O(delta): the next prepare re-derives statistics without a scan.
+            hand_over_counts(current, successor, inserted, empty)
+            self.catalog.replace_table(table, successor)
         version = self._note_mutation(table, inserted, empty)
         return MutationResult(table=table, inserted=inserted, deleted=empty, version=version)
 
@@ -497,7 +500,9 @@ class Database:
             deleted = current.intersection(requested)
         empty = Relation.empty(current.schema)
         if len(deleted):
-            self.catalog.replace_table(table, current.difference(deleted))
+            successor = current.difference(deleted)
+            hand_over_counts(current, successor, empty, deleted)
+            self.catalog.replace_table(table, successor)
         version = self._note_mutation(table, empty, deleted)
         return MutationResult(table=table, inserted=empty, deleted=deleted, version=version)
 

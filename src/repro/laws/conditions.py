@@ -10,14 +10,12 @@ violated).
 from __future__ import annotations
 
 from math import prod
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.division.schemas import small_divide_schemas
+from repro.optimizer.statistics import TableStatistics
 from repro.relation.relation import Relation
-from repro.relation.schema import AttributeNames, as_schema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.optimizer.statistics import TableStatistics
+from repro.relation.schema import AttributeNames, Schema, as_schema
 
 __all__ = [
     "condition_c1",
@@ -93,23 +91,28 @@ def attribute_is_key(relation: Relation, attributes: AttributeNames) -> bool:
     Laws 11 and 12 require the dividend to be the output of a grouping,
     which makes the grouping attributes a key; when the dividend is a base
     table this data-level check is the fallback for a missing declaration.
-    A stored table is first judged from its exact header statistics, so
-    the check reads no block when those settle it.
+    The relation is first judged from its exact statistics when they are
+    already known (a session's tables, a stored table's header), so the
+    check hashes no key and reads no block when those settle it.
     """
     schema = as_schema(attributes)
     relation.schema.require(schema, "key check")
-    stored = getattr(relation, "stored_statistics", None)
-    if stored is not None:
-        verdict = _key_from_statistics(stored(), schema.names)
+    statistics = TableStatistics.known(relation)
+    if statistics is not None:
+        verdict = _key_from_statistics(statistics, schema.names)
         if verdict is not None:
             return verdict
-    # Bare group keys (not ``to_tuples``' 1-tuples): this check scans the
-    # whole dividend on every in-memory prepare.
+    return _key_from_data(relation, schema)
+
+
+def _key_from_data(relation: Relation, schema: Schema) -> bool:
+    """The data fallback: hashes every tuple's key (bare group keys, not
+    ``to_tuples``' 1-tuples)."""
     keys = set(map(relation.schema.key_getter(schema), relation.tuples))
     return len(keys) == len(relation)
 
 
-def _key_from_statistics(statistics: "TableStatistics", names: tuple[str, ...]) -> Optional[bool]:
+def _key_from_statistics(statistics: TableStatistics, names: tuple[str, ...]) -> Optional[bool]:
     """Settle the key question from exact statistics, or ``None``.
 
     One attribute with as many distinct values as there are rows proves a

@@ -145,7 +145,7 @@ class PhysicalCostModel:
         if isinstance(expression, RelationRef):
             return self._statistics.table(expression.name).sorted_attributes
         if isinstance(expression, LiteralRelation):
-            return self._estimator.literal_statistics(expression.relation).sorted_attributes
+            return TableStatistics.from_relation(expression.relation).sorted_attributes
         if isinstance(expression, Select):
             return self.ordered_attributes(expression.child)
         if isinstance(expression, Rename):
@@ -168,7 +168,7 @@ class PhysicalCostModel:
         if isinstance(expression, RelationRef):
             return self._statistics.table(expression.name).lexicographic_prefix
         if isinstance(expression, LiteralRelation):
-            return self._estimator.literal_statistics(expression.relation).lexicographic_prefix
+            return TableStatistics.from_relation(expression.relation).lexicographic_prefix
         if isinstance(expression, Select):
             return self.clustered_prefix(expression.child)
         if isinstance(expression, Rename):
@@ -386,7 +386,7 @@ class PhysicalCostModel:
         if isinstance(expression, RelationRef):
             return self._statistics.table(expression.name)
         if isinstance(expression, LiteralRelation):
-            return self._estimator.literal_statistics(expression.relation)
+            return TableStatistics.from_relation(expression.relation)
         return None
 
     def _group_count(self, estimate, names) -> float:

@@ -11,10 +11,12 @@ estimates feed the cost model that ranks rewrite alternatives.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
+from typing import Any, Optional
 
 from repro.algebra.expressions import (
     AntiJoin,
@@ -42,6 +44,7 @@ from repro.relation.relation import Relation
 __all__ = [
     "TableStatistics",
     "StatisticsCatalog",
+    "hand_over_counts",
     "CardinalityEstimator",
     "Estimate",
     "DEFAULT_SELECTIVITY",
@@ -101,6 +104,72 @@ def _lexicographic_prefix_length(tuples: list[tuple[Any, ...]], width: int) -> i
     return limit
 
 
+#: ``Relation._column_counts`` marker of a relation made by an edit whose
+#: counts are not known yet: its first statistics scan keeps them.
+_COLLECT = object()
+
+#: Guards every read and hand-over of ``Relation._column_counts``.  Sessions
+#: can share relation objects (``connect`` over one mapping, worker
+#: threads), so a predecessor's counts go to at most one successor and are
+#: never read while another thread updates them.
+_COUNTS_LOCK = threading.Lock()
+
+
+def _count_statistics(
+    names: tuple[str, ...], counts: list[Counter]
+) -> tuple[dict[str, int], dict[str, Any], dict[str, Any], dict[str, int]]:
+    """Distinct counts, minima, maxima and top frequencies from per-column
+    value counts (one ``Counter`` per attribute, in schema order)."""
+    distinct: dict[str, int] = {}
+    minima: dict[str, Any] = {}
+    maxima: dict[str, Any] = {}
+    top_frequencies: dict[str, int] = {}
+    for name, column in zip(names, counts):
+        distinct[name] = len(column)
+        if not column:
+            continue
+        top_frequencies[name] = max(column.values())
+        try:
+            minima[name] = min(column)
+            maxima[name] = max(column)
+        except TypeError:
+            pass
+    return distinct, minima, maxima, top_frequencies
+
+
+def hand_over_counts(
+    predecessor: Relation, successor: Relation, inserted: Relation, deleted: Relation
+) -> None:
+    """Give ``successor`` = ``predecessor`` + ``inserted`` − ``deleted`` its
+    column counts in O(|delta|).
+
+    ``inserted`` and ``deleted`` must be the *effective* delta (rows not
+    already present, rows actually present).  The predecessor's counts are
+    taken and cleared atomically, so when two edits start from one shared
+    relation only one successor inherits them and updates them in place;
+    the other, like the successor of a relation without counts, collects
+    its counts at its first statistics scan.
+    """
+    with _COUNTS_LOCK:
+        counts = predecessor._column_counts
+        if isinstance(counts, list):
+            predecessor._column_counts = None
+    if not isinstance(counts, list):
+        successor._column_counts = _COLLECT
+        return
+    names = successor.schema.names
+    for column, values in zip(counts, zip(*deleted.to_tuples(names))):
+        for value in values:
+            remaining = column[value] - 1
+            if remaining:
+                column[value] = remaining
+            else:
+                del column[value]
+    for column, values in zip(counts, zip(*inserted.to_tuples(names))):
+        column.update(values)
+    successor._column_counts = counts
+
+
 @dataclass(frozen=True)
 class TableStatistics:
     """Cardinality plus per-attribute statistics of one table.
@@ -132,52 +201,60 @@ class TableStatistics:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "TableStatistics":
-        """Gather exact statistics from an in-memory relation.
+        """Exact statistics of a relation, memoized on the relation object.
 
-        One columnar pass: ``zip(*aligned_tuples)`` transposes the cached
-        tuple block, and every per-attribute statistic (distinct set,
-        min/max, sortedness of the scan order) is computed from its column —
-        no intermediate :class:`Relation` per attribute.
+        Relations are immutable, so the first call's result is kept on the
+        relation and every later call returns it.  A stored table
+        (:class:`~repro.storage.store.StoredRelation`) starts with the memo
+        filled from its file header, so for it this is a metadata read.
 
-        Stored tables (:class:`~repro.storage.store.StoredRelation`) carry
-        statistics gathered at save time in their file header; for them
-        this is a metadata read — the blocks are never decoded.
+        Otherwise one columnar pass over ``zip(*aligned_tuples)`` counts
+        each column's values and checks its scan order.  A relation made by
+        an edit keeps those counts for its successor, which derives its own
+        by delta (:func:`hand_over_counts`); a relation that holds counts
+        takes every value statistic from them, and only the scan-order
+        checks, which stop at the first descent, read its tuples.
         """
-        stored = getattr(relation, "stored_statistics", None)
-        if stored is not None:
-            statistics = stored()
-            if statistics is not None:
-                return statistics
+        memo = relation._statistics
+        if memo is not None:
+            return memo
         tuples = relation.aligned_tuples()
         names = relation.schema.names
-        distinct: dict[str, int] = {name: 0 for name in names}
-        minima: dict[str, Any] = {}
-        maxima: dict[str, Any] = {}
-        sorted_names: set[str] = set()
-        top_frequencies: dict[str, int] = {}
-        prefix: tuple[str, ...] = ()
-        if tuples:
-            for name, column in zip(names, zip(*tuples)):
-                counts = Counter(column)
-                distinct[name] = len(counts)
-                top_frequencies[name] = max(counts.values())
-                try:
-                    minima[name] = min(counts)
-                    maxima[name] = max(counts)
-                except TypeError:
-                    pass
-                if _non_decreasing(column):
-                    sorted_names.add(name)
-            prefix = names[: _lexicographic_prefix_length(tuples, len(names))]
-        return cls(
+        with _COUNTS_LOCK:
+            counts = relation._column_counts
+            values = _count_statistics(names, counts) if isinstance(counts, list) else None
+        columns: list[Iterable[Any]]
+        if values is None:
+            columns = list(zip(*tuples)) if tuples else [()] * len(names)
+            counts = [Counter(column) for column in columns]
+            values = _count_statistics(names, counts)
+            with _COUNTS_LOCK:
+                if relation._column_counts is _COLLECT:
+                    relation._column_counts = counts
+        else:
+            columns = [map(itemgetter(index), tuples) for index in range(len(names))]
+        distinct, minima, maxima, top_frequencies = values
+        sorted_names = [
+            name for name, column in zip(names, columns) if tuples and _non_decreasing(column)
+        ]
+        statistics = relation._statistics = cls(
             cardinality=len(tuples),
             distinct_values=distinct,
             minima=minima,
             maxima=maxima,
             sorted_attributes=frozenset(sorted_names),
-            lexicographic_prefix=prefix,
+            lexicographic_prefix=(
+                names[: _lexicographic_prefix_length(tuples, len(names))] if tuples else ()
+            ),
             top_frequencies=top_frequencies,
         )
+        return statistics
+
+    @staticmethod
+    def known(relation: Relation) -> "Optional[TableStatistics]":
+        """The relation's statistics if already gathered, else ``None``
+        (never scans)."""
+        return relation._statistics
 
     def distinct(self, attribute: str) -> int:
         """Distinct count of one attribute (at least 1 to avoid zero division)."""
@@ -281,18 +358,8 @@ _Estimate = Estimate
 class CardinalityEstimator:
     """Estimates output cardinalities of logical expressions."""
 
-    #: Maximum number of literal-relation statistics kept per estimator.
-    LITERAL_CACHE_SIZE = 256
-
     def __init__(self, statistics: StatisticsCatalog) -> None:
         self._statistics = statistics
-        # LiteralRelation statistics are exact but cost a columnar pass per
-        # relation; cache them keyed by relation identity, bounded so a
-        # long-lived session cannot pin arbitrarily many literals.  The
-        # relation is pinned in the value while cached; after an eviction an
-        # id() can be recycled, which the identity check in
-        # :meth:`literal_statistics` guards against.
-        self._literal_statistics: dict[int, tuple[Relation, TableStatistics]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -304,19 +371,6 @@ class CardinalityEstimator:
     def estimate(self, expression: Expression) -> Estimate:
         """Full estimate (cardinality plus per-attribute distinct counts)."""
         return self._estimate(expression)
-
-    def literal_statistics(self, relation: Relation) -> TableStatistics:
-        """Exact (cached) statistics of an in-memory literal relation."""
-        cached = self._literal_statistics.get(id(relation))
-        if cached is not None and cached[0] is relation:
-            return cached[1]
-        statistics = TableStatistics.from_relation(relation)
-        if len(self._literal_statistics) >= self.LITERAL_CACHE_SIZE:
-            # FIFO eviction: drop the oldest entry (dicts preserve insertion
-            # order); reuse after eviction just re-runs the columnar pass.
-            self._literal_statistics.pop(next(iter(self._literal_statistics)))
-        self._literal_statistics[id(relation)] = (relation, statistics)
-        return statistics
 
     # ------------------------------------------------------------------
     # recursive estimation
@@ -331,7 +385,7 @@ class CardinalityEstimator:
                 },
             )
         if isinstance(expression, LiteralRelation):
-            stats = self.literal_statistics(expression.relation)
+            stats = TableStatistics.from_relation(expression.relation)
             return _Estimate(
                 cardinality=float(stats.cardinality),
                 distinct_values={k: float(v) for k, v in stats.distinct_values.items()},
@@ -527,7 +581,7 @@ class CardinalityEstimator:
             stats = self._statistics.table(expression.name)
             return stats.minimum(attribute), stats.maximum(attribute)
         if isinstance(expression, LiteralRelation):
-            stats = self.literal_statistics(expression.relation)
+            stats = TableStatistics.from_relation(expression.relation)
             return stats.minimum(attribute), stats.maximum(attribute)
         if isinstance(expression, (Select, Project)):
             return self._column_bounds(expression.child, attribute)

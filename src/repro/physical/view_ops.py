@@ -37,7 +37,8 @@ class CounterTableScan(PhysicalOperator):
 
     def _produce_chunks(self) -> Iterator[Chunk]:
         schema = self._schema
-        tuples = sorted(self.view.quotient_tuples())
+        # The result is a set: emit the quotient in its own order, unsorted.
+        tuples = list(self.view.quotient_tuples())
         size = self.batch_size
         for start in range(0, len(tuples), size):
             yield Chunk(schema, tuples[start : start + size])

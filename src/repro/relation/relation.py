@@ -76,7 +76,11 @@ class Relation:
     {1, 2}
     """
 
-    __slots__ = ("_schema", "_tuples", "_order", "_hash")
+    #: ``_statistics`` and ``_column_counts`` are caches owned by
+    #: :mod:`repro.optimizer.statistics` (the exact statistics memo and the
+    #: per-column value counts an edit hands to its successor); like
+    #: ``_hash`` they are not part of the value and are not pickled.
+    __slots__ = ("_schema", "_tuples", "_order", "_hash", "_statistics", "_column_counts")
 
     def __init__(
         self,
@@ -88,6 +92,8 @@ class Relation:
         self._tuples = _freeze([align_row(schema, raw) for raw in rows])
         self._order: Optional[list[tuple[Any, ...]]] = None
         self._hash: Optional[int] = None
+        self._statistics: Any = None
+        self._column_counts: Any = None
 
     @classmethod
     def from_aligned(cls, attributes: AttributeNames, tuples: Iterable[Sequence[Any]]) -> "Relation":
@@ -103,6 +109,8 @@ class Relation:
         relation._tuples = _freeze(tuples)
         relation._order = None
         relation._hash = None
+        relation._statistics = None
+        relation._column_counts = None
         return relation
 
     def aligned_tuples(self) -> list[tuple[Any, ...]]:
@@ -258,6 +266,10 @@ class Relation:
             canonical = Schema.interned(sorted(self._schema.names))
             value = self._hash = hash((canonical.name_set, self._aligned_with(canonical)))
         return value
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Content and scan order only: the caches stay behind.
+        return (_unpickle, (self._schema.names, self._tuples, self._order))
 
     def __repr__(self) -> str:
         return f"Relation(attributes={self._schema.names!r}, rows={len(self._tuples)})"
@@ -487,6 +499,16 @@ def align_row(schema: Schema, raw: Union[Row, Mapping[str, Any], Sequence[Any]])
     raise RelationError(
         f"row attributes {sorted(raw.keys())!r} do not match schema {schema.names!r}"
     )
+
+
+def _unpickle(
+    names: tuple[str, ...],
+    tuples: frozenset[tuple[Any, ...]],
+    order: Optional[list[tuple[Any, ...]]],
+) -> Relation:
+    relation = Relation.from_aligned(names, tuples)
+    relation._order = order
+    return relation
 
 
 def _freeze(tuples: Iterable[Sequence[Any]]) -> frozenset[tuple[Any, ...]]:

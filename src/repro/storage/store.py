@@ -99,9 +99,9 @@ class StoredRelation(Relation):
     touches it; :meth:`__getattr__` then reads every block once, so every
     inherited algebra method works unchanged.  :meth:`aligned_tuples`
     reads the blocks into the scan-order list alone, without building the
-    set.  Length, schema and :meth:`stored_statistics` are answered from
-    the header, which is what keeps ``repro.connect(path)`` and
-    ``db.analyze()`` metadata-only.
+    set.  Length, schema and the statistics memo read by
+    :meth:`TableStatistics.from_relation` come from the header, which is
+    what keeps ``repro.connect(path)`` and ``db.analyze()`` metadata-only.
 
     Derived relations (projections, quotients, …) are always plain
     in-memory :class:`Relation` values: the base class builds results via
@@ -115,6 +115,11 @@ class StoredRelation(Relation):
         self._reader = reader
         self._order = None
         self._hash = None
+        # The statistics memo starts from the header; a file saved without
+        # statistics (foreign writer) gets them from one full read instead.
+        payload = reader.statistics_payload
+        self._statistics = None if payload is None else statistics_from_payload(payload)
+        self._column_counts = None
 
     # -- lazy materialization ------------------------------------------
     def __getattr__(self, name: str) -> Any:
@@ -146,19 +151,6 @@ class StoredRelation(Relation):
     def is_loaded(self) -> bool:
         """Whether the tuples have been materialized into memory."""
         return self._order is not None
-
-    def stored_statistics(self) -> TableStatistics:
-        """Exact statistics from the file header — a metadata read.
-
-        :meth:`TableStatistics.from_relation` dispatches here for stored
-        relations, so ``ANALYZE`` on a stored table touches no block.
-        """
-        payload = self._reader.statistics_payload
-        if payload is None:
-            # Saved without statistics (foreign writer): one full read.
-            plain = Relation.from_aligned(self.attributes, self.aligned_tuples())
-            return TableStatistics.from_relation(plain)
-        return statistics_from_payload(payload)
 
     def sample_tuples(self, limit: int) -> list[tuple[Any, ...]]:
         """Up to ``limit`` leading tuples without materializing the table."""

@@ -148,17 +148,29 @@ class TestExtendedStatistics:
         assert catalog.table("r1").cardinality == len(workload.dividend)
         assert "r1" in catalog.tables()
 
-    def test_literal_statistics_cache_is_bounded(self):
-        from repro.optimizer import CardinalityEstimator
+    def test_literal_statistics_are_memoized_on_the_relation(self, monkeypatch):
+        from repro.optimizer import statistics as module
 
-        estimator = CardinalityEstimator(StatisticsCatalog())
-        limit = CardinalityEstimator.LITERAL_CACHE_SIZE
-        relations = [Relation(["a"], [(i,)]) for i in range(limit + 10)]
-        for relation in relations:
-            estimator.literal_statistics(relation)
-        assert len(estimator._literal_statistics) <= limit
-        # evicted entries are recomputed correctly on reuse
-        assert estimator.literal_statistics(relations[0]).cardinality == 1
+        scans = []
+        count_statistics = module._count_statistics
+        monkeypatch.setattr(
+            module,
+            "_count_statistics",
+            lambda *args: scans.append(args) or count_statistics(*args),
+        )
+        relation = Relation(["a"], [(i,) for i in range(30)])
+        expression = B.literal(relation)
+        # Two estimators (two sessions' cost models) and repeated estimates
+        # share one columnar pass: the memo lives on the relation.
+        first = CardinalityEstimator(StatisticsCatalog())
+        second = CardinalityEstimator(StatisticsCatalog())
+        for estimator in (first, first, second):
+            assert estimator.cardinality(expression) == 30
+        assert len(scans) == 1
+        assert TableStatistics.from_relation(relation) is TableStatistics.from_relation(relation)
+        # An equal but distinct relation object has its own memo.
+        TableStatistics.from_relation(Relation(["a"], [(i,) for i in range(30)]))
+        assert len(scans) == 2
 
     def test_catalog_analyze_unknown_table_raises_schema_error(self, workload):
         from repro.errors import SchemaError

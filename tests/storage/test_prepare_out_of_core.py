@@ -1,8 +1,10 @@
-"""``prepare()`` and ``explain()`` on a saved store read no table data.
+"""``prepare()``, ``explain()`` and ``analyze()`` on a saved store read no
+table data.
 
-The data-dependent law conditions (Laws 11 and 12) first consult a stored
-table's exact header statistics; for the paper's queries those settle the
-key question, so planning stays metadata-only.
+A stored table's statistics memo starts from its file header.  The
+data-dependent law conditions (Laws 11 and 12) consult it first; for the
+paper's queries it settles the key question, so planning stays
+metadata-only, and so does ``analyze()``.
 """
 
 import pytest
@@ -33,6 +35,14 @@ def test_prepare_and_explain_load_no_table(store, name):
     db.sql(QUERIES[name]).prepare()
     assert _loaded(db) == []
     db.sql(QUERIES[name]).explain()
+    assert _loaded(db) == []
+
+
+def test_analyze_loads_no_table(store):
+    db = connect(store)
+    report = db.analyze()
+    assert set(report.tables) == set(db.tables)
+    assert report.tables["supplies"].cardinality == len(db.relation("supplies"))
     assert _loaded(db) == []
 
 

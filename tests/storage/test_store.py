@@ -79,7 +79,7 @@ class TestLaziness:
         assert len(relation) == 200
         assert bool(relation)
         assert "on disk" in repr(relation)
-        relation.stored_statistics()
+        TableStatistics.from_relation(relation)
         relation.sample_tuples(5)
         assert not relation.is_loaded
 
@@ -96,7 +96,7 @@ class TestLaziness:
 class TestStoredStatistics:
     def test_matches_a_full_scan(self, store_path):
         relation = load_catalog(store_path)["parts"]
-        stored = relation.stored_statistics()
+        stored = TableStatistics.from_relation(relation)
         scanned = TableStatistics.from_relation(
             Relation.from_aligned(relation.schema, relation.aligned_tuples()).clustered(
                 ["p_no"]

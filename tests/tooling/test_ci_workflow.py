@@ -21,6 +21,7 @@ GATES = (
     "verify-plans",
     "lint",
     "typecheck",
+    "e2e-check",
     "bench-compare",
     "bench-parallel",
     "bench-compiled",
